@@ -204,7 +204,7 @@ func BenchmarkFullPipelineOpenldap(b *testing.B) {
 }
 
 // Pipeline throughput: the full staged analysis (record, four-scheme
-// replay, sharded classification, quantification, report) serial vs
+// replay, classification, quantification, report) serial vs
 // parallel, so future PRs have a perf trajectory to compare against.
 func benchPipelineWorkers(b *testing.B, workers int) {
 	b.ReportAllocs()

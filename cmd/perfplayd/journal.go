@@ -231,7 +231,6 @@ func (s *Server) requestForRecovered(spec scheduler.Spec) (pipeline.Request, err
 		Schemes:     spec.Schemes,
 		DetectRaces: spec.Races,
 		Workers:     s.cfg.PipelineWorkers,
-		Distributor: s.dist,
 	}
 	if spec.App != "" {
 		if _, ok := workload.Get(spec.App); !ok {

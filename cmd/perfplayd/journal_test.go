@@ -113,7 +113,7 @@ func TestJournalKillAndRestartRecovers(t *testing.T) {
 	}
 
 	// A fresh submit must not collide with a resurrected ID.
-	resp = postJSON(t, b.URL+"/analyze", goldenSpecs[0].warmup)
+	resp = postJSON(t, b.URL+"/analyze", `{"app":"pbzip2","threads":2,"scale":0.2,"seed":3,"top":5}`)
 	newID := decode[map[string]string](t, resp)["id"]
 	if newID == id1 || newID == id2 || newID == id3 {
 		t.Fatalf("new job reused recovered ID %s", newID)

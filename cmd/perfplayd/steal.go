@@ -28,8 +28,7 @@ import (
 // A stolen job's trace ships content-addressed: the claim carries only
 // the corpus digest, and the thief fetches the blob from the victim
 // (GET /traces/{digest}, hash-verified) only when its own corpus misses
-// it — the same 404-style lazy transfer the shard protocol uses, in the
-// pull direction.
+// it — a lazy, pull-direction transfer.
 
 // specFor derives the wire-stealable description of a request. Uploaded
 // traces held only in this process's memory yield a zero (unstealable)
@@ -81,7 +80,6 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 		Schemes:     spec.Schemes,
 		DetectRaces: spec.Races,
 		Workers:     s.cfg.PipelineWorkers,
-		Distributor: s.dist,
 	}
 	if spec.App != "" {
 		if _, ok := workload.Get(spec.App); !ok {
@@ -116,7 +114,7 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 	}
 	remote := &corpus.Remote{
 		Base:    victim,
-		Client:  &http.Client{Timeout: s.cfg.ShardTimeout},
+		Client:  &http.Client{Timeout: s.cfg.PeerTimeout},
 		TraceID: tc.trace,
 		SpanID:  tc.parent,
 	}
@@ -245,14 +243,14 @@ func (s *Server) executeStolen(victim string, sj scheduler.StolenJob) error {
 // stealTransport returns the transport the stealer claims over, so
 // settles take the same path; a server whose stealer never started
 // (peer-less tests driving executeStolen directly) falls back to a
-// fresh HTTP transport with the shard timeout.
+// fresh HTTP transport with the peer timeout.
 func (s *Server) stealTransport() scheduler.Transport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stealer != nil && s.stealer.Transport != nil {
 		return s.stealer.Transport
 	}
-	return &scheduler.HTTPTransport{Client: &http.Client{Timeout: s.cfg.ShardTimeout}}
+	return &scheduler.HTTPTransport{Client: &http.Client{Timeout: s.cfg.PeerTimeout}}
 }
 
 // handleSteal (GET /steal) is the probe half of the steal protocol: a

@@ -8,7 +8,7 @@ import (
 
 // FuzzDecodeError hammers the error-body decoder with arbitrary bytes.
 // DecodeError sits on every cluster client path — admission redirects,
-// cache probes, shard fan-out all parse peer error bodies through it —
+// cache probes, steal claims all parse peer error bodies through it —
 // and a peer mid-crash (or a proxy in between) can hand back anything.
 // The contract under fuzz: never panic, and any non-nil result must be
 // a usable error — a non-empty Error() string that round-trips through

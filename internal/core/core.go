@@ -85,11 +85,12 @@ func AnalyzeTrace(tr *trace.Trace, cfg Config) (*Analysis, error) {
 	a := &Analysis{App: tr.App}
 
 	a.CSs = tr.ExtractCS()
-	// Sharded identification (per-lock reversed-replay budget) is the
-	// repo's canonical semantics: it is what the concurrent pipeline
-	// computes, so every front end — core, CLI, daemon, experiments —
-	// reports the same counts for the same recording.
-	a.Report = ulcp.IdentifySharded(tr, a.CSs, cfg.Identify)
+	// Identify's per-trace reversed-replay budget is the repo's one
+	// identification semantics: the pipeline's classify stage runs the
+	// same pass (ulcp.BuildVerdictTable), so every front end — core,
+	// CLI, daemon, experiments — reports the same counts for the same
+	// recording and options (pinned by pipeline's parity test).
+	a.Report = ulcp.Identify(tr, a.CSs, cfg.Identify)
 
 	var err error
 	a.Transformed, err = transform.Apply(tr, a.CSs, a.Report)

@@ -13,9 +13,9 @@ import (
 )
 
 // Remote is a client for another node's corpus — the /traces endpoints
-// a perfplayd daemon serves. A coordinator uses it to push a job's
-// trace blob to peers whose store misses the digest, and any node can
-// pull a blob it has only heard referenced. Content addressing makes
+// a perfplayd daemon serves. Clients use it to push a trace blob before
+// naming it by digest, and a thief uses it to pull a stolen job's blob
+// it has only heard referenced. Content addressing makes
 // both directions safe to retry: pushing identical bytes twice dedupes
 // server-side, and every fetched blob is verified against its digest
 // before being trusted.
@@ -61,15 +61,13 @@ func (r *Remote) do(method, url, contentType string, body io.Reader) (*http.Resp
 	return r.client().Do(req)
 }
 
-// RemoteError decodes a perfplayd error body — the documented
+// remoteError decodes a perfplayd error body — the documented
 // {"error": {"code", "message"}} envelope, or the legacy
 // {"error": "..."} string a pre-envelope node still sends — into an
 // error tagged with the local sentinel matching the remote status, so
 // callers can errors.Is a peer's ErrNotFound exactly like a local
-// store's. It is exported because every client of the daemon's JSON
-// surface (not just this package) wants the same mapping — notably the
-// cluster shard protocol, whose 404 means "push the blob and retry".
-func RemoteError(op string, resp *http.Response) error {
+// store's.
+func remoteError(op string, resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	msg := resp.Status
 	if apiErr := clusterapi.DecodeError(raw); apiErr != nil {
@@ -123,7 +121,7 @@ func (r *Remote) submitOnce(spec []byte) cachepolicy.SubmitFunc {
 			}
 			return cachepolicy.SubmitReply{ID: body.ID}, nil
 		}
-		reply := cachepolicy.SubmitReply{Reject: RemoteError("submit to "+base, resp)}
+		reply := cachepolicy.SubmitReply{Reject: remoteError("submit to "+base, resp)}
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			reply.RetryPeer = resp.Header.Get("Retry-Peer")
 		}
@@ -141,7 +139,7 @@ func (r *Remote) Push(data []byte) (Meta, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		return Meta{}, RemoteError("push to "+r.Base, resp)
+		return Meta{}, remoteError("push to "+r.Base, resp)
 	}
 	var body struct {
 		Trace Meta `json:"trace"`
@@ -165,7 +163,7 @@ func (r *Remote) Fetch(digest string) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, RemoteError("fetch "+digest+" from "+r.Base, resp)
+		return nil, remoteError("fetch "+digest+" from "+r.Base, resp)
 	}
 	maxBytes := r.MaxFetchBytes
 	if maxBytes <= 0 {

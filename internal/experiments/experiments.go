@@ -55,7 +55,7 @@ func identify(app *workload.App, wcfg workload.Config) (*sim.Result, *ulcp.Repor
 	p := app.Build(wcfg)
 	rec := sim.Run(p, sim.Config{Seed: wcfg.Seed})
 	css := rec.Trace.ExtractCS()
-	rep := ulcp.IdentifySharded(rec.Trace, css, ulcp.Options{})
+	rep := ulcp.Identify(rec.Trace, css, ulcp.Options{})
 	return rec, rep
 }
 
@@ -277,7 +277,7 @@ func TableStatic(cfg Config) *report.Table {
 		rec := sim.Run(p, sim.Config{Seed: cfg.Seed})
 		static := staticcheck.Analyze(rec.Trace)
 		css := rec.Trace.ExtractCS()
-		dyn := ulcp.IdentifySharded(rec.Trace, css, ulcp.Options{})
+		dyn := ulcp.Identify(rec.Trace, css, ulcp.Options{})
 		static.CompareWithDynamic(dyn)
 		claims := 0
 		for _, f := range static.Findings {

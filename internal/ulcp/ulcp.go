@@ -55,21 +55,19 @@ type Edge struct {
 	To   int `json:"to"`
 }
 
-// Options tunes identification. The JSON tags are the cluster wire
-// format: a coordinator ships options verbatim with each shard request
-// so every node classifies under identical settings.
+// Options tunes identification.
 type Options struct {
 	// MaxScanPerThread caps the RULE-1 sequential search ahead of each
 	// critical section within one peer thread. Zero selects 4096. Scans
 	// cut short are tallied in Report.Truncated.
-	MaxScanPerThread int `json:"max_scan_per_thread,omitempty"`
+	MaxScanPerThread int
 	// DisableReversedReplay turns off the benign/TLCP reversed-replay
 	// check; every Algorithm-1 conflict is then reported as TLCP.
-	DisableReversedReplay bool `json:"disable_reversed_replay,omitempty"`
+	DisableReversedReplay bool
 	// MaxReversedReplays caps full-trace reversed replays; beyond it the
 	// memoized per-region verdicts are reused and unseen region pairs
 	// default to TLCP (conservative). Zero selects 128.
-	MaxReversedReplays int `json:"max_reversed_replays,omitempty"`
+	MaxReversedReplays int
 }
 
 func (o Options) withDefaults() Options {
@@ -147,8 +145,8 @@ type identifier struct {
 	rep  *Report
 	// benignMemo caches reversed-replay verdicts per code-region pair.
 	benignMemo map[string]bool
-	// table, when set, is a precomputed cross-shard verdict table
-	// consulted before benignMemo; hits cost no replay.
+	// table, when set, is a precomputed verdict table consulted before
+	// benignMemo; hits cost no replay.
 	table *VerdictTable
 	// sweep and scratch are the run's reusable replay state (see
 	// sweep.go), created on the first conflicting pair.
@@ -156,77 +154,49 @@ type identifier struct {
 	scratch *pairScratch
 }
 
-// Identify runs the full identification pass over a recorded trace.
-// Locks and peer threads are visited in sorted order, so the report —
-// including the reversed-replay budget's consumption order — is a
-// deterministic function of (trace, critical sections, options).
-func Identify(tr *trace.Trace, css []*trace.CritSec, opts Options) *Report {
-	opts = opts.withDefaults()
-	id := &identifier{
+// newIdentifier prepares one identification run; table may be nil.
+func newIdentifier(tr *trace.Trace, css []*trace.CritSec, opts Options, table *VerdictTable) *identifier {
+	return &identifier{
 		tr:   tr,
 		css:  css,
-		opts: opts,
-		rep: &Report{
-			Counts: make(map[Category]int),
-		},
-		benignMemo: make(map[string]bool),
-	}
-	id.run()
-	return id.rep
-}
-
-// IdentifyShard runs identification over a single lock's critical
-// sections (one group of trace.CSByLock) with a shard-local memo and
-// reversed-replay budget. Shards are independent — the result is a pure
-// function of (trace, lock group, options) — so callers may run them
-// concurrently and combine them with MergeReports; merging in sorted
-// lock order reproduces Identify's pair order. Note the budget semantics
-// differ from Identify: MaxReversedReplays caps replays per lock rather
-// than per trace.
-func IdentifyShard(tr *trace.Trace, lockCSs []*trace.CritSec, opts Options) *Report {
-	opts = opts.withDefaults()
-	id := &identifier{
-		tr:   tr,
-		css:  lockCSs,
-		opts: opts,
-		rep: &Report{
-			Counts: make(map[Category]int),
-		},
-		benignMemo: make(map[string]bool),
-	}
-	id.runLock(lockCSs)
-	return id.rep
-}
-
-// IdentifyShardWithVerdicts is IdentifyShard with a precomputed verdict
-// table (see BuildVerdictTable): conflicting pairs whose region-pair
-// class is in the table reuse its verdict without a replay, so shards
-// sharing one table — across goroutines or across nodes — stop
-// re-paying the O(events) prefix walk for classes that recur under
-// many locks. Classes absent from the table (a table built over
-// different groups) fall back to the shard-local memo and budget. With
-// a table built over the same sorted lock groups and options, shards
-// perform zero replays and the merged classification is a pure
-// function of (trace, groups, options, table).
-func IdentifyShardWithVerdicts(tr *trace.Trace, lockCSs []*trace.CritSec, opts Options, table *VerdictTable) *Report {
-	opts = opts.withDefaults()
-	id := &identifier{
-		tr:   tr,
-		css:  lockCSs,
-		opts: opts,
+		opts: opts.withDefaults(),
 		rep: &Report{
 			Counts: make(map[Category]int),
 		},
 		benignMemo: make(map[string]bool),
 		table:      table,
 	}
+}
+
+// Identify runs the full identification pass over a recorded trace.
+// Locks and peer threads are visited in sorted order, so the report —
+// including the reversed-replay budget's consumption order — is a
+// deterministic function of (trace, critical sections, options).
+// MaxReversedReplays budgets replays per trace. It is BuildVerdictTable
+// without the table.
+func Identify(tr *trace.Trace, css []*trace.CritSec, opts Options) *Report {
+	_, rep := BuildVerdictTable(tr, css, opts)
+	return rep
+}
+
+// IdentifyShardWithVerdicts classifies a single lock's critical
+// sections (one group of SortedLockGroups) against a precomputed
+// verdict table (see BuildVerdictTable): conflicting pairs whose
+// region-pair class is in the table reuse its verdict without a replay.
+// Classes absent from the table (a table built over different groups,
+// or a nil table) fall back to a shard-local memo and per-lock replay
+// budget. With a table built over the same trace and options, shards
+// perform zero replays, and merging them in sorted lock order with
+// MergeReports reproduces Identify's report pair for pair.
+func IdentifyShardWithVerdicts(tr *trace.Trace, lockCSs []*trace.CritSec, opts Options, table *VerdictTable) *Report {
+	id := newIdentifier(tr, lockCSs, opts, table)
 	id.runLock(lockCSs)
 	return id.rep
 }
 
 // SortedLockGroups returns CSByLock's groups in ascending lock order —
-// the canonical shard decomposition shared by Identify, IdentifySharded
-// and the concurrent pipeline. Keeping it in one place is what keeps
+// the canonical shard decomposition shared by Identify and the
+// pipeline's cached-table shards. Keeping it in one place is what keeps
 // the serial and parallel paths byte-identical.
 func SortedLockGroups(css []*trace.CritSec) [][]*trace.CritSec {
 	byLock := trace.CSByLock(css)
@@ -240,20 +210,6 @@ func SortedLockGroups(css []*trace.CritSec) [][]*trace.CritSec {
 		groups[i] = byLock[l]
 	}
 	return groups
-}
-
-// IdentifySharded is the serial convenience over the shard API: every
-// lock group through IdentifyShard, merged in sorted lock order. It has
-// the pipeline's per-lock budget semantics (unlike Identify's per-trace
-// budget), so serial tools that must agree with pipeline-produced
-// reports should use it.
-func IdentifySharded(tr *trace.Trace, css []*trace.CritSec, opts Options) *Report {
-	groups := SortedLockGroups(css)
-	reports := make([]*Report, len(groups))
-	for i, g := range groups {
-		reports[i] = IdentifyShard(tr, g, opts)
-	}
-	return MergeReports(reports...)
 }
 
 // MergeReports combines shard reports in call order into one report.
@@ -352,10 +308,6 @@ func (id *identifier) benign(c1, c2 *trace.CritSec) bool {
 	if v, ok := id.benignMemo[key]; ok {
 		return v
 	}
-	// Fast pre-filter: order-sensitive only if some conflicting address
-	// is written non-commutatively with distinct effects. Commutative-only
-	// conflicts (adds, or-bits) are benign without a replay; we still
-	// verify a sample of them through the replayer when budget allows.
 	if id.rep.ReversedReplays >= id.opts.MaxReversedReplays {
 		id.benignMemo[key] = false
 		return false

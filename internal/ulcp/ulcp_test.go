@@ -1,12 +1,14 @@
 package ulcp
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"perfplay/internal/memmodel"
 	"perfplay/internal/sim"
 	"perfplay/internal/trace"
+	"perfplay/internal/workload"
 )
 
 func cs(reads, writes []memmodel.Addr) *trace.CritSec {
@@ -296,5 +298,26 @@ func TestCategoryStrings(t *testing.T) {
 	}
 	if !Benign.IsULCP() {
 		t.Error("benign must be a ULCP")
+	}
+}
+
+// recordedCS records one workload and extracts its critical sections.
+func recordedCS(t *testing.T, app string, seed int64) (*trace.Trace, []*trace.CritSec) {
+	t.Helper()
+	a := workload.MustGet(app)
+	p := a.Build(workload.Config{Threads: 2, Scale: 0.2, Seed: seed})
+	res := sim.Run(p, sim.Config{Seed: seed})
+	return res.Trace, res.Trace.ExtractCS()
+}
+
+// TestIdentifyDeterministic: two runs over the same trace produce
+// identical reports (sorted lock/thread iteration removed the map-order
+// dependence that made budget consumption racy).
+func TestIdentifyDeterministic(t *testing.T) {
+	tr, css := recordedCS(t, "mysql", 3)
+	a := Identify(tr, css, Options{})
+	b := Identify(tr, css, Options{})
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("Identify is not deterministic across runs")
 	}
 }

@@ -4,12 +4,11 @@ import (
 	"perfplay/internal/trace"
 )
 
-// VerdictTable is the cross-shard reversed-replay memo: one benign/TLCP
-// verdict per conflicting region-pair class, shared by every shard of a
-// trace — and, in cluster mode, shipped with each shard request — so a
-// region pair recurring under many locks pays the O(events) prefix walk
-// once per trace instead of once per lock shard (the ROADMAP's measured
-// 39 → 24 replays on openldap).
+// VerdictTable is the per-trace reversed-replay memo: one benign/TLCP
+// verdict per conflicting region-pair class, shared by every lock
+// group of a trace, so a region pair recurring under many locks pays
+// the O(events) prefix walk once per trace instead of once per lock
+// (39 → 24 replays on openldap).
 //
 // A table is a deterministic function of (trace, critical sections,
 // options): it is the memo produced by Identify's own sorted
@@ -17,8 +16,8 @@ import (
 // the same walk against the table observe exactly Identify's verdicts —
 // including the RULE-1 early stops those verdicts imply — so
 // IdentifyShardWithVerdicts over sorted lock groups performs zero
-// shard-local replays and merges to a report pair-for-pair identical to
-// Identify's, regardless of which goroutine or machine ran each shard.
+// replays and merges to a report pair-for-pair identical to Identify's,
+// regardless of which goroutine ran each shard.
 type VerdictTable struct {
 	// Verdicts maps regionPairKey → benign. Every class Identify's walk
 	// replayed (or budget-defaulted) has an entry.
@@ -44,30 +43,16 @@ func (vt *VerdictTable) Classes() int {
 	return len(vt.Verdicts)
 }
 
-// BuildVerdictTable runs one full identification pass over the trace —
-// Identify's walk and budget semantics exactly — and returns both its
-// verdict memo and the complete report the pass produced along the way.
-// Single-node callers use the report directly (the pass replaces, not
-// precedes, their classification); distributed callers ship the table
-// with each shard request and merge the shard reports, which reproduce
-// this report byte-for-byte. MaxReversedReplays budgets replays per
-// trace (Identify's semantics, not IdentifyShard's per-lock one).
+// BuildVerdictTable runs one full identification pass over the trace
+// and returns both its verdict memo and the complete report the pass
+// produced along the way. MaxReversedReplays budgets replays per trace.
 //
-// The table is also the unit of cross-job reuse: it depends only on
-// (trace content, Options), so a daemon analyzing the same stored trace
-// under different reporting flags can reuse a cached table and skip
-// every replay (see the pipeline's digest-keyed table cache).
+// The table is the unit of cross-job reuse: it depends only on (trace
+// content, Options), so a daemon analyzing the same stored trace under
+// different reporting flags can reuse a cached table and skip every
+// replay (see the pipeline's digest-keyed table cache).
 func BuildVerdictTable(tr *trace.Trace, css []*trace.CritSec, opts Options) (*VerdictTable, *Report) {
-	opts = opts.withDefaults()
-	id := &identifier{
-		tr:   tr,
-		css:  css,
-		opts: opts,
-		rep: &Report{
-			Counts: make(map[Category]int),
-		},
-		benignMemo: make(map[string]bool),
-	}
+	id := newIdentifier(tr, css, opts, nil)
 	id.run()
 	return &VerdictTable{Verdicts: id.benignMemo, Replays: id.rep.ReversedReplays}, id.rep
 }

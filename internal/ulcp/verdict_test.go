@@ -22,23 +22,25 @@ func openldapFixture(t *testing.T) (*trace.Trace, []*trace.CritSec) {
 }
 
 // TestVerdictTableReducesReplays pins the reversed-replay counters on
-// the openldap fixture: the per-lock memo re-replays recurring region
-// pairs (39 replays), while one shared table pays each class once (24)
-// and the table-backed shards pay nothing. The exact values are
-// deterministic functions of the fixture; a change means the walk or
-// the memo key changed and must be deliberate.
+// the openldap fixture: per-lock memos (shards without a table)
+// re-replay recurring region pairs (39 replays), while one shared table
+// pays each class once (24) and the table-backed shards pay nothing.
+// The exact values are deterministic functions of the fixture; a
+// change means the walk or the memo key changed and must be deliberate.
 func TestVerdictTableReducesReplays(t *testing.T) {
 	tr, css := openldapFixture(t)
 	opts := Options{}
 
-	sharded := IdentifySharded(tr, css, opts)
 	table, rep := BuildVerdictTable(tr, css, opts)
 
 	groups := SortedLockGroups(css)
+	perLock := make([]*Report, len(groups))
 	var shardReplays int
-	for _, g := range groups {
+	for i, g := range groups {
+		perLock[i] = IdentifyShardWithVerdicts(tr, g, opts, nil)
 		shardReplays += IdentifyShardWithVerdicts(tr, g, opts, table).ReversedReplays
 	}
+	sharded := MergeReports(perLock...)
 
 	if table.Replays >= sharded.ReversedReplays {
 		t.Fatalf("shared table spent %d replays, per-lock memo %d — table must reduce them",
@@ -61,7 +63,7 @@ func TestVerdictTableReducesReplays(t *testing.T) {
 // table reproduce Identify exactly — same pairs in the same order, same
 // counts and causal edges — because the table carries Identify's own
 // verdicts, including the early stops they imply. This is what makes a
-// distributed run mergeable into a byte-identical report.
+// cached-table run byte-identical to a fresh one.
 func TestVerdictTableShardsMatchIdentify(t *testing.T) {
 	for _, app := range []string{"openldap", "pbzip2", "mysql"} {
 		a := workload.MustGet(app)
@@ -98,7 +100,7 @@ func TestVerdictTableShardsMatchIdentify(t *testing.T) {
 }
 
 // TestVerdictTableJSONRoundTrip: the table survives the JSON transport
-// used by shard requests.
+// used by cross-node table probes.
 func TestVerdictTableJSONRoundTrip(t *testing.T) {
 	tr, css := openldapFixture(t)
 	table, _ := BuildVerdictTable(tr, css, Options{})

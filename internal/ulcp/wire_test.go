@@ -137,7 +137,7 @@ func TestWireTallyAndNumULCPs(t *testing.T) {
 }
 
 // FuzzWireReportDecode: the cluster's wire decode path (peer cache
-// imports and shard responses) must never panic on arbitrary JSON, and
+// imports) must never panic on arbitrary JSON, and
 // whatever decodes must rehydrate either cleanly or with an error —
 // and a clean rehydration must agree with the wire tally.
 func FuzzWireReportDecode(f *testing.F) {
